@@ -46,7 +46,7 @@ from repro.convex.firstorder import (
     solve_sdp_firstorder_batch,
 )
 from repro.convex.langevin import LangevinConfig, LangevinResult, langevin_minimize
-from repro.convex.lp import simplex_standard_form, solve_lp
+from repro.convex.lp import BoundedSimplex, simplex_standard_form, solve_lp
 from repro.convex.problem import (
     LPProblem,
     QCQPProblem,
@@ -76,6 +76,7 @@ __all__ = [
     "ADMMResult",
     "BatchQPResult",
     "BatchSDPResult",
+    "BoundedSimplex",
     "CoRRConfig",
     "CoRRResult",
     "AffineSubspaceProjector",

@@ -57,16 +57,22 @@ class BnBResult:
         return self.objective - self.lower_bound
 
 
+def _most_fractional(x: np.ndarray, idx: np.ndarray, tol: float = 1e-6) -> int | None:
+    """:func:`most_fractional_index` over a sorted index array."""
+    if idx.size == 0:
+        return None
+    # distance from nearest integer, maximized at 0.5; argmax keeps the
+    # lowest index among ties
+    frac = np.abs(x[idx] - np.round(x[idx]))
+    k = int(np.argmax(frac))
+    return int(idx[k]) if frac[k] > tol else None
+
+
 def most_fractional_index(x: np.ndarray, integer_indices: FrozenSet[int], tol: float = 1e-6) -> int | None:
-    """Branching rule: the integer coordinate farthest from integrality."""
-    best_i, best_frac = None, tol
-    for i in sorted(integer_indices):
-        frac = abs(x[i] - round(x[i]))
-        # distance from nearest integer, maximized at 0.5
-        if frac > best_frac:
-            best_frac = frac
-            best_i = i
-    return best_i
+    """Branching rule: the integer coordinate farthest from integrality
+    (the lowest index among equally fractional ones)."""
+    idx = np.array(sorted(integer_indices), dtype=np.intp)
+    return _most_fractional(np.asarray(x, dtype=np.float64), idx, tol)
 
 
 def branch_and_bound(
@@ -102,6 +108,7 @@ def branch_and_bound(
     start = clock()
     lo = np.asarray(lo, dtype=np.float64).copy()
     hi = np.asarray(hi, dtype=np.float64).copy()
+    idx = np.array(sorted(integer_indices), dtype=np.intp)
     counter = itertools.count()
 
     best_x: Optional[np.ndarray] = None
@@ -153,21 +160,16 @@ def branch_and_bound(
             pruned += 1
             continue
         # integral relaxed point -> incumbent and exact bound for the node
-        branch_i = most_fractional_index(x_rel, integer_indices)
-        if branch_i is None:
-            snapped = x_rel.copy()
-            for i in integer_indices:
-                snapped[i] = round(snapped[i])
-            try_incumbent(snapped)
-            continue
-        # primal heuristic
-        if incumbent_fn is not None:
+        branch_i = _most_fractional(x_rel, idx)
+        if branch_i is not None and incumbent_fn is not None:
+            # primal heuristic
             try_incumbent(incumbent_fn(x_rel, node.lo, node.hi))
         else:
             snapped = x_rel.copy()
-            for i in integer_indices:
-                snapped[i] = round(snapped[i])
+            snapped[idx] = np.round(snapped[idx])
             try_incumbent(snapped)
+        if branch_i is None:
+            continue
         # branch
         val = x_rel[branch_i]
         left_hi = node.hi.copy()

@@ -19,7 +19,9 @@ __all__ = ["round_and_repair", "feasibility_pump", "diving_heuristic"]
 
 def round_and_repair(model: MILPModel, x_relaxed: np.ndarray, max_repair: int = 50) -> np.ndarray | None:
     """Round the integer coordinates of an LP-relaxed point, then re-solve
-    the LP over the continuous coordinates with integers fixed.
+    the LP over the continuous coordinates with integers fixed (skipped
+    when every coordinate is integer: the rounded point is then the only
+    candidate, and it was just rejected).
 
     Tries nearest-rounding first, then floor-rounding (which can only
     reduce resource usage in <=-constrained models).  Returns the best
@@ -36,7 +38,7 @@ def round_and_repair(model: MILPModel, x_relaxed: np.ndarray, max_repair: int = 
         candidate: np.ndarray | None = None
         if model.is_feasible(x):
             candidate = x
-        else:
+        elif len(model.integer_indices) < model.dim:
             # fix integers, re-optimize continuous part
             lo = model.lp.lo.copy()
             hi = model.lp.hi.copy()

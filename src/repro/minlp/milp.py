@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import InfeasibleError
-from repro.convex.lp import solve_lp
-from repro.convex.problem import LPProblem
+from repro.convex.lp import BoundedSimplex
 from repro.convex.qp import solve_qp
 from repro.minlp.branch_and_bound import BnBResult, branch_and_bound
 from repro.minlp.model import MILPModel, MIQPModel
@@ -25,13 +24,16 @@ def solve_milp(
 
     ``use_root_heuristic`` runs rounding-repair on the root relaxation to
     seed the incumbent — the hybrid local/global bounding §II-B endorses.
+
+    One :class:`BoundedSimplex` serves every node: each node box is
+    re-solved by dual simplex from the basis the previous solve ended in.
     """
+    engine = BoundedSimplex(model.lp)
 
     def bound(lo: np.ndarray, hi: np.ndarray) -> tuple[float, np.ndarray]:
         if np.any(lo > hi + 1e-12):
             raise InfeasibleError("empty node box")
-        relaxed = model.relaxation(extra_lo=lo, extra_hi=hi)
-        sol = solve_lp(relaxed)
+        sol = engine.solve(np.maximum(model.lp.lo, lo), np.minimum(model.lp.hi, hi))
         return sol.objective, sol.x
 
     initial = None
@@ -39,7 +41,7 @@ def solve_milp(
         from repro.minlp.heuristics import round_and_repair
 
         try:
-            root = solve_lp(model.relaxation())
+            root = engine.solve()
             initial = round_and_repair(model, root.x)
         except InfeasibleError:
             initial = None

@@ -1,4 +1,4 @@
-"""Tests for the two-phase simplex LP solver."""
+"""Tests for the bounded-variable simplex LP solver."""
 
 import numpy as np
 import pytest
@@ -72,6 +72,17 @@ class TestGeneralLP:
                        lo=np.array([0.0]), hi=np.array([1.0]))
         with pytest.raises(InfeasibleError):
             solve_lp(lp)
+
+    def test_beale_cycling_instance_terminates(self):
+        """Beale's degenerate LP cycles under textbook Dantzig pricing;
+        the Bland fallback must still reach the optimum."""
+        c = np.array([-0.75, 20.0, -0.5, 6.0])
+        g = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+        h = np.array([0.0, 0.0, 1.0])
+        sol = solve_lp(LPProblem(c=c, g=g, h=h, lo=np.zeros(4)))
+        assert sol.objective == pytest.approx(-1.25)
+        x, obj = simplex_standard_form(np.hstack([g, np.eye(3)]), h, np.concatenate([c, np.zeros(3)]))
+        assert obj == pytest.approx(-1.25)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 5), st.integers(0, 300))
