@@ -14,6 +14,8 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Tuple
 
+from repro.obs import jsonable
+
 #: where write_bench_json drops its files, next to the bench modules
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -25,27 +27,6 @@ def timed(fn: Callable[[], Any]) -> Tuple[Any, float]:
     return value, time.perf_counter() - start
 
 
-def _jsonable(value: Any) -> Any:
-    """Coerce numpy scalars/arrays and other benchmark payloads to plain
-    JSON types; unknown objects fall back to ``repr``."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    if isinstance(value, float):
-        return value
-    if hasattr(value, "item") and callable(value.item):
-        try:
-            return _jsonable(value.item())
-        except (TypeError, ValueError):
-            pass
-    if hasattr(value, "tolist") and callable(value.tolist):
-        return _jsonable(value.tolist())
-    return repr(value)
-
-
 def write_bench_json(name: str, payload: Any, extra: dict | None = None) -> Path:
     """Persist one benchmark's results as ``BENCH_<name>.json``.
 
@@ -54,9 +35,9 @@ def write_bench_json(name: str, payload: Any, extra: dict | None = None) -> Path
     Returns the written path.
     """
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    doc = {"benchmark": name, "rows": _jsonable(payload)}
+    doc = {"benchmark": name, "rows": jsonable(payload)}
     if extra:
-        doc.update(_jsonable(extra))
+        doc.update(jsonable(extra))
     path = RESULTS_DIR / f"BENCH_{name}.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=False)

@@ -93,6 +93,7 @@ from repro.obs.tracer import (
     Tracer,
     current_span,
     get_tracer,
+    jsonable,
     set_tracer,
     use_tracer,
 )
@@ -137,6 +138,7 @@ __all__ = [
     "get_metrics",
     "get_tracer",
     "iter_events",
+    "jsonable",
     "load_trace",
     "profile_block",
     "profiled",

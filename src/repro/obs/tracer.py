@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
 
 __all__ = [
+    "jsonable",
     "SpanRecord",
     "Span",
     "Tracer",
@@ -34,25 +35,26 @@ __all__ = [
 ]
 
 
-def _jsonable(value: object) -> object:
-    """Coerce an attribute value to something ``json.dumps`` accepts.
+def jsonable(value: object) -> object:
+    """Coerce a value to something ``json.dumps`` accepts.
 
-    Numpy scalars and arrays expose ``tolist()``; everything else unknown
-    falls back to ``repr`` so an exotic attribute can never break trace
-    export.
+    Numpy scalars and arrays expose ``tolist()`` (so a 1-element array
+    stays a 1-element list); tuples become lists and dict keys strings;
+    everything else unknown falls back to ``repr`` so an exotic value
+    can never break trace export or a benchmark's result file.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     tolist = getattr(value, "tolist", None)
     if callable(tolist):
         try:
-            return _jsonable(tolist())
+            return jsonable(tolist())
         except (TypeError, ValueError):
             return repr(value)
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): jsonable(v) for k, v in value.items()}
     return repr(value)
 
 
@@ -90,7 +92,7 @@ class SpanRecord:
             "cpu_s": self.cpu_s,
             "status": self.status,
             "error": self.error,
-            "attrs": {k: _jsonable(v) for k, v in self.attrs.items()},
+            "attrs": {k: jsonable(v) for k, v in self.attrs.items()},
         }
 
 

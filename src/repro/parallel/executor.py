@@ -19,9 +19,9 @@ Parallel execution must be *bit-identical* to serial execution:
   (a stable hash of ``(master_seed, task_index, salt)``) so the random
   stream a task sees depends only on *which* task it is, not on which
   worker ran it or when;
-* tasks must not communicate through shared mutable state (the
-  scheduler's parallel path, for example, deliberately does not share a
-  circuit breaker across frames).
+* tasks must not communicate through shared mutable state (a
+  scheduler run handed an executor, for example, deliberately does not
+  share a circuit breaker across frames).
 
 Under that contract ``SerialExecutor``, ``ThreadExecutor``, and
 ``ProcessExecutor`` are interchangeable, and the property suite in

@@ -30,11 +30,19 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, InfeasibleError, NumericalInstabilityError
+from repro.exceptions import (
+    ConfigurationError,
+    InfeasibleError,
+    LadderExhaustedError,
+    NumericalInstabilityError,
+)
+from repro.parallel import derive_seed
 from repro.resilience import (
     Budget,
     BudgetReport,
+    ChaosMonkey,
     CircuitBreaker,
+    FaultSpec,
     RetryPolicy,
     Rung,
     run_ladder,
@@ -300,7 +308,12 @@ def solve_rra_pso(problem: RRAProblem, swarm_size: int = 16, generations: int = 
 
 @dataclass(frozen=True)
 class ResilientRRAResult:
-    """One frame's RRA answer with degradation provenance."""
+    """One frame's RRA answer with degradation provenance.
+
+    ``rung_index`` counts from the first rung the ladder was given (an
+    overload-capped suffix starts below ``exact-bnb``); ``degraded``
+    always compares against the full :data:`RRA_FALLBACK` ladder.
+    """
 
     result: RRAResult
     rung: str
@@ -312,7 +325,7 @@ class ResilientRRAResult:
 
     @property
     def degraded(self) -> bool:
-        return self.rung_index > 0
+        return self.rung != RRA_FALLBACK[0]
 
 
 def _validate_rra(value: object) -> None:
@@ -327,6 +340,80 @@ def _validate_rra(value: object) -> None:
     if not value.power_ok:
         raise NumericalInstabilityError(
             "RRA result violates the transmit power budget")
+
+
+def _no_sleep(_s: float) -> None:
+    """Latency stub for scheduler and serve frames: a wall-clock sleep
+    would break cross-backend timing comparability; budget burn still
+    applies."""
+
+
+def _rra_ladder(
+    problem: RRAProblem,
+    *,
+    rungs: Tuple[str, ...],
+    budget: Optional[Budget],
+    breaker: Optional[CircuitBreaker],
+    retry: RetryPolicy,
+    max_nodes: int,
+    time_limit: float,
+    solvers: Optional[Dict[str, Callable[[RRAProblem], RRAResult]]],
+    monkey: Optional[ChaosMonkey],
+    rng: Optional[np.random.Generator],
+    sleep: Callable[[float], None],
+    name: str,
+) -> ResilientRRAResult:
+    """The one RRA frame ladder: every RRA solve path walks it.
+
+    ``rungs`` is a suffix of :data:`RRA_FALLBACK`; its last rung is the
+    guaranteed one, which charges the budget where the others spend it.
+    ``solvers`` overrides rung implementations, and ``monkey`` wraps the
+    resulting table in fault injection.  Every answer passes
+    :func:`_validate_rra`, so a corrupted one degrades instead of
+    shipping.  The rung solvers are looked up when the table is built,
+    never bound at import, so wrappers installed on this module see
+    every call.
+    """
+    table: Dict[str, Callable[[RRAProblem], RRAResult]] = {
+        "exact-bnb": lambda p: solve_rra_exact(
+            p, max_nodes=max_nodes,
+            time_limit=(min(time_limit, budget.remaining_time)
+                        if budget is not None else time_limit)),
+        "lp-round": solve_rra_relaxed,
+        "greedy": solve_rra_greedy,
+    }
+    table.update(solvers or {})
+    if monkey is not None:
+        table = {rung: monkey.wrap(fn, rung) for rung, fn in table.items()}
+
+    def make_solve(rung: str, guaranteed: bool) -> Callable[[], RRAResult]:
+        def solve() -> RRAResult:
+            if budget is not None:
+                if guaranteed:
+                    budget.charge(1)
+                else:
+                    budget.spend(1, context=f"{name}[{rung}]")
+            return table[rung](problem)
+        return solve
+
+    last = len(rungs) - 1
+    res = run_ladder(
+        [Rung(name=rung, solve=make_solve(rung, i == last), grade=rung,
+              retry=retry, guaranteed=(i == last))
+         for i, rung in enumerate(rungs)],
+        budget=budget, breaker=breaker, validator=_validate_rra, rng=rng,
+        sleep=sleep, name=name)
+    result = res.value
+    assert isinstance(result, RRAResult)
+    return ResilientRRAResult(
+        result=result,
+        rung=res.rung,
+        rung_index=res.rung_index,
+        attempts=res.attempts,
+        failures=res.failures,
+        budget=res.budget,
+        rung_times=res.rung_times,
+    )
 
 
 def solve_rra_resilient(
@@ -348,48 +435,60 @@ def solve_rra_resilient(
     best-effort partial allocations instead of crashing the frame.
     ``solvers`` overrides rung implementations (the chaos-harness hook).
     """
-    table: Dict[str, Callable[[RRAProblem], RRAResult]] = {
-        "exact-bnb": lambda p: solve_rra_exact(
-            p, max_nodes=max_nodes,
-            time_limit=(min(time_limit, budget.remaining_time)
-                        if budget is not None else time_limit)),
-        "lp-round": solve_rra_relaxed,
-        "greedy": solve_rra_greedy,
-    }
-    if solvers:
-        table.update(solvers)
-    retry = retry or RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
+    return _rra_ladder(
+        problem, rungs=RRA_FALLBACK, budget=budget, breaker=breaker,
+        retry=retry or RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
+        max_nodes=max_nodes, time_limit=time_limit, solvers=solvers,
+        monkey=None, rng=rng, sleep=sleep, name="rra")
 
-    def make_solve(name: str, guaranteed: bool) -> Callable[[], RRAResult]:
-        def solve() -> RRAResult:
-            if budget is not None:
-                if guaranteed:
-                    budget.charge(1)
-                else:
-                    budget.spend(1, context=f"rra[{name}]")
-            return table[name](problem)
-        return solve
 
-    rungs = [
-        Rung(name=name, solve=make_solve(name, i == len(RRA_FALLBACK) - 1),
-             grade=name, retry=retry,
-             guaranteed=(i == len(RRA_FALLBACK) - 1))
-        for i, name in enumerate(RRA_FALLBACK)
-    ]
-    res = run_ladder(rungs, budget=budget, breaker=breaker,
-                     validator=_validate_rra, rng=rng, sleep=sleep,
-                     name="rra")
-    result = res.value
-    assert isinstance(result, RRAResult)
-    return ResilientRRAResult(
-        result=result,
-        rung=res.rung,
-        rung_index=res.rung_index,
-        attempts=res.attempts,
-        failures=res.failures,
-        budget=res.budget,
-        rung_times=res.rung_times,
-    )
+def _solve_rra_frame(
+    problem: RRAProblem,
+    *,
+    rungs: Tuple[str, ...],
+    seed: int,
+    frame: int,
+    streams: Tuple[str, str],
+    frame_budget_s: Optional[float],
+    max_nodes: int,
+    chaos: Optional[FaultSpec],
+    attempts: int,
+    name: str,
+    solvers: Optional[Dict[str, Callable[[RRAProblem], RRAResult]]] = None,
+    breaker: Optional[CircuitBreaker] = None,
+) -> Tuple[Optional[ResilientRRAResult], int]:
+    """One scheduler or serve frame through :func:`_rra_ladder`.
+
+    Everything random is derived from ``(seed, frame)``: the chaos
+    schedule from the ``streams[0]`` label, ladder retries from
+    ``streams[1]``, so a frame's outcome does not depend on which
+    backend ran it or in what order.  Without ``frame_budget_s`` the
+    exact rung is capped by its node budget only: a deadline-truncated
+    branch-and-bound returns a timing-dependent incumbent.
+
+    Returns the answer, or ``None`` when every rung failed (the frame is
+    dropped), plus the number of chaos injections.
+    """
+    budget = (Budget(wall_clock_s=frame_budget_s)
+              if frame_budget_s is not None else None)
+    chaos_stream, retry_stream = streams
+    monkey = (ChaosMonkey(chaos, seed=derive_seed(seed, frame, chaos_stream),
+                          sleep=_no_sleep, budget=budget)
+              if chaos is not None else None)
+    try:
+        answer: Optional[ResilientRRAResult] = _rra_ladder(
+            problem, rungs=rungs, budget=budget, breaker=breaker,
+            retry=RetryPolicy(max_attempts=attempts, base_delay=0.0,
+                              jitter=0.0),
+            max_nodes=max_nodes,
+            time_limit=(frame_budget_s if frame_budget_s is not None
+                        else math.inf),
+            solvers=solvers, monkey=monkey,
+            rng=np.random.default_rng(derive_seed(seed, frame, retry_stream)),
+            sleep=_no_sleep, name=name)
+    except (InfeasibleError, LadderExhaustedError):
+        answer = None
+    return answer, (len(monkey.events) if monkey is not None else 0)
 
 
 def solve_rra_greedy(problem: RRAProblem) -> RRAResult:

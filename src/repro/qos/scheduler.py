@@ -16,30 +16,41 @@ from typing import Callable, Dict, List, Literal
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, InfeasibleError, LadderExhaustedError
+from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.kernels.backend import resolve_backend
 from repro.obs import get_metrics, get_tracer
-from repro.parallel import Executor, RelaxationCache, derive_seed, fingerprint, map_solve
+from repro.parallel import (
+    Executor,
+    RelaxationCache,
+    SerialExecutor,
+    fingerprint,
+    map_solve,
+)
 from repro.qos.channel import ChannelConfig, ChannelModel
 from repro.qos.rra import (
+    RRA_FALLBACK,
     RRAProblem,
     RRAResult,
+    _solve_rra_frame,
     solve_rra_exact,
     solve_rra_greedy,
     solve_rra_pso,
     solve_rra_relaxed,
-    solve_rra_resilient,
 )
 from repro.qos.traffic import ServiceClass, TrafficGenerator, UserSession
-from repro.resilience import Budget, ChaosMonkey, CircuitBreaker, FaultSpec
+from repro.resilience import CircuitBreaker, FaultSpec
 
 Strategy = Literal["exact", "relaxed", "pso", "greedy"]
 
-_SOLVERS: Dict[str, Callable[[RRAProblem], RRAResult]] = {
-    "exact": lambda p: solve_rra_exact(p, max_nodes=4000, time_limit=20.0),
-    "relaxed": solve_rra_relaxed,
-    "pso": lambda p: solve_rra_pso(p, swarm_size=12, generations=30),
-    "greedy": solve_rra_greedy,
+#: single-strategy solvers, called as ``solve(problem, max_nodes)``
+_SOLVERS: Dict[str, Callable[[RRAProblem, int], RRAResult]] = {
+    # node-budget cap only: wall-clock truncation would make the frame's
+    # answer depend on machine load
+    "exact": lambda p, max_nodes: solve_rra_exact(
+        p, max_nodes=max_nodes, time_limit=math.inf),
+    "relaxed": lambda p, _max_nodes: solve_rra_relaxed(p),
+    "pso": lambda p, _max_nodes: solve_rra_pso(p, swarm_size=12, generations=30),
+    "greedy": lambda p, _max_nodes: solve_rra_greedy(p),
 }
 
 __all__ = ["FrameStats", "ScheduleReport", "Scheduler"]
@@ -51,74 +62,35 @@ def _frame_task(task: dict) -> dict:
     The task carries everything the solve needs; per-frame randomness
     (ladder retries, chaos schedules) derives from the frame index via
     :func:`~repro.parallel.derive_seed`, so the outcome is a pure
-    function of the task — the scheduler's determinism contract.
+    function of the task — the scheduler's determinism contract.  The
+    one exception is ``task["breaker"]``, a circuit breaker shared
+    across frames, which only in-process runs hand over.
     """
     problem: RRAProblem = task["problem"]
     frame: int = task["frame"]
     strategy: str = task["strategy"]
-    max_nodes: int = task["max_nodes"]
     start = time.perf_counter()
-    rung = strategy
-    degraded = False
-    rung_times: Dict[str, float] = {}
-    try:
-        if task["resilient"]:
-            frame_budget_s = task["frame_budget_s"]
-            budget = (Budget(wall_clock_s=frame_budget_s)
-                      if frame_budget_s is not None else None)
-            # determinism: without an explicit frame budget the exact rung
-            # is capped by its *node* budget, never by wall-clock — a
-            # deadline-truncated BnB returns a timing-dependent incumbent
-            time_limit = (frame_budget_s if frame_budget_s is not None
-                          else float("inf"))
-            solvers = dict(task["rra_solvers"] or {})
-            chaos_spec: FaultSpec | None = task["chaos"]
-            if chaos_spec is not None:
-                # a per-frame monkey: the injection schedule depends only on
-                # the frame index, never on cross-frame call ordering
-                monkey = ChaosMonkey(
-                    chaos_spec,
-                    seed=derive_seed(task["seed"], frame, "qos.chaos"),
-                    sleep=_no_sleep,
-                    budget=budget,
-                )
-                base: Dict[str, Callable[[RRAProblem], RRAResult]] = {
-                    "exact-bnb": lambda p: solve_rra_exact(
-                        p, max_nodes=max_nodes,
-                        time_limit=(min(time_limit, budget.remaining_time)
-                                    if budget is not None else time_limit)),
-                    "lp-round": solve_rra_relaxed,
-                    "greedy": solve_rra_greedy,
-                }
-                base.update(solvers)
-                solvers = {name: monkey.wrap(fn, name)
-                           for name, fn in base.items()}
-            rres = solve_rra_resilient(
-                problem,
-                budget=budget,
-                breaker=None,  # no shared breaker: frames must be independent
-                max_nodes=max_nodes,
-                time_limit=time_limit,
-                solvers=solvers or None,
-                rng=np.random.default_rng(
-                    derive_seed(task["seed"], frame, "qos.frame")),
-            )
-            result = rres.result
-            rung = rres.rung
-            degraded = rres.degraded
-            rung_times = dict(rres.rung_times)
-        elif strategy == "exact":
-            # node-budget cap only (see above): wall-clock truncation would
-            # make the frame's answer depend on machine load
-            result = solve_rra_exact(problem, max_nodes=max_nodes,
-                                     time_limit=float("inf"))
-        else:
-            result = _SOLVERS[strategy](problem)
-    except (InfeasibleError, LadderExhaustedError):
-        return {"frame": frame, "dropped": True,
-                "solver_time": time.perf_counter() - start}
-    solver_time = time.perf_counter() - start
-    if not rung_times:
+    dropped = {"frame": frame, "dropped": True, "rung": "none",
+               "degraded": True}
+    if task["resilient"]:
+        answer, _ = _solve_rra_frame(
+            problem, rungs=RRA_FALLBACK, seed=task["seed"], frame=frame,
+            streams=("qos.chaos", "qos.frame"),
+            frame_budget_s=task["frame_budget_s"],
+            max_nodes=task["max_nodes"], chaos=task["chaos"], attempts=2,
+            name="rra", solvers=task["rra_solvers"], breaker=task["breaker"])
+        solver_time = time.perf_counter() - start
+        if answer is None:
+            return {**dropped, "solver_time": solver_time}
+        result, rung, degraded = answer.result, answer.rung, answer.degraded
+        rung_times = dict(answer.rung_times)
+    else:
+        try:
+            result = _SOLVERS[strategy](problem, task["max_nodes"])
+        except InfeasibleError:
+            return {**dropped, "solver_time": time.perf_counter() - start}
+        solver_time = time.perf_counter() - start
+        rung, degraded = strategy, False
         rung_times = {rung: solver_time}
     return {
         "frame": frame,
@@ -129,11 +101,6 @@ def _frame_task(task: dict) -> dict:
         "rung_times": rung_times,
         "solver_time": solver_time,
     }
-
-
-def _no_sleep(_s: float) -> None:
-    """Chaos latency stub for parallel frames (wall-clock injection would
-    break cross-backend timing comparability; budget burn still applies)."""
 
 
 @dataclass(frozen=True)
@@ -263,12 +230,13 @@ class Scheduler:
     ):
         """``resilient=True`` routes every frame through the
         :func:`~repro.qos.rra.solve_rra_resilient` fallback ladder instead
-        of a single fixed strategy; the shared ``breaker`` then trips the
-        hot path straight to the greedy rung after repeated upstream
-        failures.  ``frame_budget_s`` caps each frame's solve wall-clock;
-        ``rra_solvers`` overrides individual rungs (the chaos-test hook);
-        ``max_nodes`` caps the exact rung's branch-and-bound (the
-        deterministic cost knob the parallel path relies on).
+        of a single fixed strategy; in an in-process :meth:`run` the
+        shared ``breaker`` then trips the hot path straight to the greedy
+        rung after repeated upstream failures.  ``frame_budget_s`` caps
+        each frame's solve wall-clock (without it the exact solve has no
+        time limit); ``rra_solvers`` overrides individual rungs (the
+        chaos-test hook); ``max_nodes`` caps the exact branch-and-bound
+        (the deterministic cost knob every run relies on).
 
         ``cache`` memoizes frame solves by content fingerprint (problem
         bytes + strategy configuration + the resolved kernels backend,
@@ -341,14 +309,17 @@ class Scheduler:
             resolve_backend(None), "qos.frame",
         )
 
-    def _cached_stats(self, frame: int, problem: RRAProblem, hit: dict) -> FrameStats:
-        """Rebuild FrameStats from a memoized frame outcome (the cheap
-        deterministic evaluation re-runs; only the solve is skipped)."""
-        if hit["dropped"]:
+    def _frame_stats(self, frame: int, problem: RRAProblem,
+                     out: dict) -> FrameStats:
+        """Build one frame's FrameStats from a frame outcome, solved now
+        or memoized (a cache entry carries no timings; the cheap
+        deterministic evaluation re-runs, only the solve is skipped)."""
+        solver_time = out.get("solver_time", 0.0)
+        if out["dropped"]:
             return FrameStats(frame, 0.0, False,
                               {svc: 0.0 for svc in set(u.service for u in self.users)},
-                              0.0, rung="none", degraded=True)
-        ev = problem.evaluate_assignment(hit["choice"])
+                              solver_time, rung="none", degraded=True)
+        ev = problem.evaluate_assignment(out["choice"])
         per_class: Dict[ServiceClass, List[bool]] = {}
         for u, rate in zip(self.users, ev["user_rates"]):
             per_class.setdefault(u.service, []).append(rate >= u.min_rate_bps - 1e-6)
@@ -358,9 +329,10 @@ class Scheduler:
             qos_ok=ev["qos_ok"] and ev["power_ok"],
             per_class_satisfaction={svc: float(np.mean(v))
                                     for svc, v in per_class.items()},
-            solver_time=0.0,
-            rung=hit["rung"],
-            degraded=hit["degraded"],
+            solver_time=solver_time,
+            rung=out["rung"],
+            degraded=out["degraded"],
+            rung_times=out.get("rung_times", {}),
         )
 
     def run(self, n_frames: int = 10, executor: Executor | None = None,
@@ -368,121 +340,28 @@ class Scheduler:
             chaos: FaultSpec | None = None) -> ScheduleReport:
         """Run ``n_frames`` scheduling frames and merge the per-frame stats.
 
-        With an ``executor`` the frames fan out through
-        :func:`repro.parallel.map_solve` and the per-frame stats are
-        merged back into one :class:`ScheduleReport` in frame order.
-        The parallel path draws all channel realizations up front from
-        the scheduler's RNG and derives any per-frame randomness from
-        ``(seed, frame)``, so its :meth:`ScheduleReport.canonical`
-        projection is bit-identical across serial/thread/process
-        backends — at the price of not sharing the circuit breaker
-        between in-flight frames.  ``chaos`` (parallel path, resilient
-        mode only) injects a deterministic per-frame
-        :class:`~repro.resilience.ChaosMonkey` around every rung.
+        All channel realizations are drawn up front from the scheduler's
+        RNG; the frames are then solved by one frame task, either one at
+        a time in-process (``executor=None``) or fanned out through
+        :func:`repro.parallel.map_solve`, and merged back into one
+        :class:`ScheduleReport` in frame order.  Per-frame randomness
+        derives from ``(seed, frame)``, so the report's
+        :meth:`ScheduleReport.canonical` projection is bit-identical
+        across in-process, serial, thread and process runs.  Only the
+        in-process run consults the shared circuit breaker; frames
+        handed to an executor must be independent of each other.
+        ``chaos`` (resilient mode only) injects a deterministic
+        per-frame :class:`~repro.resilience.ChaosMonkey` around every
+        rung.
         """
-        if executor is not None:
-            return self._run_parallel(n_frames, executor, chunk_size, chaos)
-        if chaos is not None:
-            raise ConfigurationError(
-                "chaos injection requires the parallel path (pass executor=)")
-        report = ScheduleReport()
-        solver = _SOLVERS[self.strategy]
-        tracer = get_tracer()
-        metrics = get_metrics()
-        for frame in range(n_frames):
-            problem = self._frame_problem()
-            key = self._frame_key(problem) if self.cache is not None else None
-            if key is not None:
-                hit = self.cache.get(key)
-                if hit is not None:
-                    metrics.counter("scheduler.frames_cached").inc()
-                    report.frames.append(self._cached_stats(frame, problem, hit))
-                    continue
-            start = time.perf_counter()
-            rung = self.strategy
-            degraded = False
-            rung_times: Dict[str, float] = {}
-            with tracer.span("qos.frame", frame=frame,
-                             strategy=self.strategy,
-                             resilient=self.resilient) as span:
-                try:
-                    if self.resilient:
-                        budget = (
-                            Budget(wall_clock_s=self.frame_budget_s)
-                            if self.frame_budget_s is not None
-                            else None
-                        )
-                        rres = solve_rra_resilient(
-                            problem,
-                            budget=budget,
-                            breaker=self.breaker,
-                            max_nodes=self.max_nodes,
-                            time_limit=self.frame_budget_s if self.frame_budget_s is not None else 20.0,
-                            solvers=self.rra_solvers,
-                            rng=self.rng,
-                        )
-                        result = rres.result
-                        rung = rres.rung
-                        degraded = rres.degraded
-                        rung_times = dict(rres.rung_times)
-                    else:
-                        result = solver(problem)
-                except (InfeasibleError, LadderExhaustedError):
-                    # No rung produced a frame plan: serve nobody this frame
-                    # rather than crash the control loop.
-                    span.set(rung="none", degraded=True)
-                    metrics.counter("scheduler.frames_dropped").inc()
-                    if key is not None:
-                        self.cache.put(key, {"dropped": True})
-                    report.frames.append(
-                        FrameStats(frame, 0.0, False,
-                                   {svc: 0.0 for svc in set(u.service for u in self.users)},
-                                   time.perf_counter() - start,
-                                   rung="none", degraded=True)
-                    )
-                    continue
-                solver_time = time.perf_counter() - start
-                if not rung_times:
-                    rung_times = {rung: solver_time}
-                span.set(rung=rung, degraded=degraded)
-                ev = problem.evaluate_assignment(result.choice)
-            if key is not None:
-                self.cache.put(key, {"dropped": False, "choice": result.choice,
-                                     "rung": rung, "degraded": degraded})
-            metrics.counter("scheduler.frames", rung=rung).inc()
-            if degraded:
-                metrics.counter("scheduler.frames_degraded").inc()
-            per_class: Dict[ServiceClass, List[bool]] = {}
-            for u, rate in zip(self.users, ev["user_rates"]):
-                per_class.setdefault(u.service, []).append(rate >= u.min_rate_bps - 1e-6)
-            report.frames.append(
-                FrameStats(
-                    frame=frame,
-                    total_rate=ev["total_rate"],
-                    qos_ok=ev["qos_ok"] and ev["power_ok"],
-                    per_class_satisfaction={svc: float(np.mean(v)) for svc, v in per_class.items()},
-                    solver_time=solver_time,
-                    rung=rung,
-                    degraded=degraded,
-                    rung_times=rung_times,
-                )
-            )
-        return report
-
-    def _run_parallel(self, n_frames: int, executor: Executor,
-                      chunk_size: int | None,
-                      chaos: FaultSpec | None) -> ScheduleReport:
         if chaos is not None and not self.resilient:
             raise ConfigurationError(
                 "chaos injection needs resilient=True (the ladder absorbs "
                 "the injected faults; a bare strategy would just crash)")
         metrics = get_metrics()
-        tracer = get_tracer()
-        # channel/traffic randomness stays on the scheduler RNG, drawn
-        # serially up front — identical problems regardless of backend
         problems = [self._frame_problem() for _ in range(n_frames)]
         # the coordinator owns the cache: hits are served here and only
-        # the misses are dispatched, so memoization is backend-agnostic;
+        # the misses are solved, so memoization is backend-agnostic;
         # chaos runs bypass it (a memoized healthy answer would mask the
         # injected fault schedule)
         use_cache = self.cache is not None and chaos is None
@@ -504,53 +383,34 @@ class Scheduler:
                 "chaos": chaos,
                 "seed": self.seed,
                 "max_nodes": self.max_nodes,
+                "breaker": self.breaker if executor is None else None,
             }
             for frame, problem in enumerate(problems)
             if frame not in cached
         ]
-        with tracer.span("qos.schedule", backend=executor.backend,
-                         n_frames=n_frames, strategy=self.strategy,
-                         resilient=self.resilient):
+        executor = executor or SerialExecutor()
+        with get_tracer().span("qos.schedule", backend=executor.backend,
+                               n_frames=n_frames, strategy=self.strategy,
+                               resilient=self.resilient):
             outcomes = map_solve(_frame_task, tasks, executor=executor,
                                  chunk_size=chunk_size, label="qos.frames")
-        out_by_frame = {out["frame"]: out for out in outcomes}
+        solved = {out["frame"]: out for out in outcomes}
         report = ScheduleReport()
         for frame, problem in enumerate(problems):
-            if frame in cached:
+            out = cached.get(frame)
+            if out is not None:
                 metrics.counter("scheduler.frames_cached").inc()
-                report.frames.append(self._cached_stats(frame, problem,
-                                                        cached[frame]))
-                continue
-            out = out_by_frame[frame]
-            if use_cache:
-                self.cache.put(keys[frame],
-                               {"dropped": True} if out["dropped"] else
-                               {"dropped": False, "choice": out["choice"],
-                                "rung": out["rung"],
-                                "degraded": out["degraded"]})
-            if out["dropped"]:
-                metrics.counter("scheduler.frames_dropped").inc()
-                report.frames.append(FrameStats(
-                    frame, 0.0, False,
-                    {svc: 0.0 for svc in set(u.service for u in self.users)},
-                    out["solver_time"], rung="none", degraded=True))
-                continue
-            ev = problem.evaluate_assignment(out["choice"])
-            metrics.counter("scheduler.frames", rung=out["rung"]).inc()
-            if out["degraded"]:
-                metrics.counter("scheduler.frames_degraded").inc()
-            per_class: Dict[ServiceClass, List[bool]] = {}
-            for u, rate in zip(self.users, ev["user_rates"]):
-                per_class.setdefault(u.service, []).append(rate >= u.min_rate_bps - 1e-6)
-            report.frames.append(FrameStats(
-                frame=frame,
-                total_rate=ev["total_rate"],
-                qos_ok=ev["qos_ok"] and ev["power_ok"],
-                per_class_satisfaction={svc: float(np.mean(v))
-                                        for svc, v in per_class.items()},
-                solver_time=out["solver_time"],
-                rung=out["rung"],
-                degraded=out["degraded"],
-                rung_times=out["rung_times"],
-            ))
+            else:
+                out = solved[frame]
+                if use_cache:
+                    self.cache.put(keys[frame], {
+                        k: out[k] for k in ("dropped", "choice", "rung", "degraded")
+                        if k in out})
+                if out["dropped"]:
+                    metrics.counter("scheduler.frames_dropped").inc()
+                else:
+                    metrics.counter("scheduler.frames", rung=out["rung"]).inc()
+                    if out["degraded"]:
+                        metrics.counter("scheduler.frames_degraded").inc()
+            report.frames.append(self._frame_stats(frame, problem, out))
         return report

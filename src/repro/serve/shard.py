@@ -33,11 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import (
-    ConfigurationError,
-    InfeasibleError,
-    LadderExhaustedError,
-)
+from repro.exceptions import ConfigurationError
 from repro.obs import (
     LATENCY_BUCKETS,
     SECONDS_BUCKETS,
@@ -49,26 +45,13 @@ from repro.obs import (
 )
 from repro.parallel import derive_seed
 from repro.qos.channel import ChannelConfig, ChannelModel
-from repro.qos.rra import (
-    RRA_FALLBACK,
-    RRAProblem,
-    RRAResult,
-    solve_rra_exact,
-    solve_rra_greedy,
-    solve_rra_relaxed,
-)
+from repro.qos.rra import RRAProblem, _solve_rra_frame
 from repro.qos.traffic import DEFAULT_QOS, QoSRequirement, ServiceClass, UserSession
-from repro.resilience import Budget, ChaosMonkey, CircuitBreaker, FaultSpec, Rung, run_ladder
-from repro.resilience.ladder import LadderResult
+from repro.resilience import CircuitBreaker, FaultSpec
 from repro.serve.overload import OverloadConfig, OverloadMachine
 from repro.serve.queueing import AdmissionQueue, FrameRequest
 
 __all__ = ["ShardConfig", "ShardFrameOutcome", "SchedulerShard", "solve_shard_task"]
-
-
-def _no_sleep(_s: float) -> None:
-    """Chaos latency stub (wall-clock sleeps would break cross-backend
-    timing comparability; budget burn still applies)."""
 
 
 @dataclass(frozen=True)
@@ -151,73 +134,32 @@ def _scaled_session(index: int, svc: ServiceClass, scale: float) -> UserSession:
 def solve_shard_task(task: dict) -> dict:
     """Solve one shard frame (module-level: process-picklable).
 
-    Walks the overload-capped fallback ladder over the frame's
-    :class:`RRAProblem`; the answer plus provenance comes back as a
-    plain dict the coordinator merges.  All randomness derives from the
-    task's ``(seed, frame, cell)`` identity, so the outcome is a pure
-    function of the task — the shard determinism contract.
+    Walks the overload-capped suffix of the shared RRA frame ladder
+    (:func:`repro.qos.rra._solve_rra_frame`, one attempt per rung, every
+    answer validated) over the frame's :class:`RRAProblem`; the answer
+    plus provenance comes back as a plain dict the coordinator merges.
+    All randomness derives from the task's ``(seed, frame, cell)``
+    identity, so the outcome is a pure function of the task — the shard
+    determinism contract.
     """
     problem: RRAProblem = task["problem"]
     cell: int = task["cell"]
     frame: int = task["frame"]
-    rung_names: Tuple[str, ...] = tuple(task["rungs"])
-    max_nodes: int = task["max_nodes"]
-    frame_budget_s = task["frame_budget_s"]
-    chaos_spec: Optional[FaultSpec] = task.get("chaos")
-    budget = (Budget(wall_clock_s=frame_budget_s)
-              if frame_budget_s is not None else None)
-    time_limit = frame_budget_s if frame_budget_s is not None else float("inf")
-
-    solvers = {
-        "exact-bnb": lambda p: solve_rra_exact(
-            p, max_nodes=max_nodes,
-            time_limit=(min(time_limit, budget.remaining_time)
-                        if budget is not None else time_limit)),
-        "lp-round": solve_rra_relaxed,
-        "greedy": solve_rra_greedy,
-    }
-    monkey = None
-    if chaos_spec is not None:
-        monkey = ChaosMonkey(
-            chaos_spec,
-            seed=derive_seed(task["seed"], frame, f"serve.chaos.{cell}"),
-            sleep=_no_sleep,
-            budget=budget,
-        )
-        solvers = {name: monkey.wrap(fn, name) for name, fn in solvers.items()}
-
-    def make_solve(name: str, guaranteed: bool):
-        def solve() -> RRAResult:
-            if budget is not None:
-                if guaranteed:
-                    budget.charge(1)
-                else:
-                    budget.spend(1, context=f"serve[{name}]")
-            return solvers[name](problem)
-        return solve
-
-    rungs = [
-        Rung(name=name, solve=make_solve(name, i == len(rung_names) - 1),
-             grade=name, guaranteed=(i == len(rung_names) - 1))
-        for i, name in enumerate(rung_names)
-    ]
     start = time.perf_counter()
-    try:
-        res: LadderResult = run_ladder(
-            rungs, budget=budget, rng=np.random.default_rng(
-                derive_seed(task["seed"], frame, f"serve.frame.{cell}")),
-            sleep=_no_sleep, name="serve")
-    except (InfeasibleError, LadderExhaustedError):
+    answer, injections = _solve_rra_frame(
+        problem, rungs=tuple(task["rungs"]), seed=task["seed"], frame=frame,
+        streams=(f"serve.chaos.{cell}", f"serve.frame.{cell}"),
+        frame_budget_s=task["frame_budget_s"], max_nodes=task["max_nodes"],
+        chaos=task.get("chaos"), attempts=1, name="serve")
+    if answer is None:
         return {
             "cell": cell, "frame": frame, "dropped": True, "rung": "none",
             "degraded": True, "qos_ok": False, "total_rate": 0.0,
             "solver_time_s": time.perf_counter() - start,
             "primary_failed": True, "per_class_satisfaction": {},
-            "chaos_injections": 0 if monkey is None else len(monkey.events),
+            "chaos_injections": injections,
         }
-    result = res.value
-    assert isinstance(result, RRAResult)
-    ev = problem.evaluate_assignment(result.choice)
+    ev = problem.evaluate_assignment(answer.result.choice)
     per_class: Dict[str, List[bool]] = {}
     for u, rate in zip(problem.users, ev["user_rates"]):
         per_class.setdefault(u.service.value, []).append(
@@ -226,18 +168,18 @@ def solve_shard_task(task: dict) -> dict:
         "cell": cell,
         "frame": frame,
         "dropped": False,
-        "rung": res.rung,
+        "rung": answer.rung,
         # degraded relative to the *full* ladder: a frame answered by
         # lp-round while the overload cap already excluded exact-bnb is
         # still a degraded answer
-        "degraded": res.rung != RRA_FALLBACK[0],
+        "degraded": answer.degraded,
         "qos_ok": bool(ev["qos_ok"] and ev["power_ok"]),
         "total_rate": float(ev["total_rate"]),
         "solver_time_s": time.perf_counter() - start,
-        "primary_failed": res.rung_index > 0,
+        "primary_failed": answer.rung_index > 0,
         "per_class_satisfaction": {
             svc: float(np.mean(v)) for svc, v in sorted(per_class.items())},
-        "chaos_injections": 0 if monkey is None else len(monkey.events),
+        "chaos_injections": injections,
     }
 
 

@@ -13,6 +13,7 @@ from repro.obs import (
     aggregate,
     current_span,
     get_tracer,
+    jsonable,
     load_trace,
     profile_block,
     profiled,
@@ -135,6 +136,23 @@ class TestExport:
         assert rec["attrs"]["residual"] == pytest.approx(1e-9)
         assert rec["attrs"]["shape"] == 4
         assert rec["attrs"]["vec"] == [1.0, 2.0]
+
+    @pytest.mark.parametrize("value, expected", [
+        (np.float32(2.5), 2.5),
+        (np.array(7), 7),
+        (np.array([3.0]), [3.0]),
+        ((1, np.int64(2)), [1, 2]),
+        ({1: np.bool_(True)}, {"1": True}),
+        (FakeClock, repr(FakeClock)),
+    ], ids=["numpy-scalar", "0d-array", "1-element-array", "tuple",
+            "non-str-key", "unknown-object"])
+    def test_jsonable_rules(self, value, expected):
+        """The one JSON coercion shared by trace export and the
+        benchmark result files."""
+        out = jsonable(value)
+        assert out == expected
+        assert type(out) is type(expected)
+        json.dumps(out)
 
     def test_aggregate_counts_spans_and_errors(self):
         tr = Tracer(wall_clock=FakeClock(), cpu_clock=FakeClock())

@@ -243,14 +243,29 @@ def _schedule(ex, **kwargs):
     return sched.run(4, executor=ex, **kwargs).canonical()
 
 
+def _scheduler_results(fn):
+    """:func:`_backend_results` plus the in-process run (``executor=None``),
+    which must solve the same frame task as every executor."""
+    out = _backend_results(fn)
+    out["in-process"] = fn(None)
+    return out
+
+
 class TestSchedulerDeterminism:
     def test_report_bit_identical_across_backends(self):
-        results = _backend_results(_schedule)
+        _assert_all_backends_equal(_scheduler_results(_schedule))
+
+    def test_exact_node_cap_holds_in_process(self):
+        """``max_nodes`` caps the exact strategy with or without an
+        executor; a cap this tight leaves some frames with no plan."""
+        def run(ex):
+            return Scheduler(n_users=3, strategy="exact", seed=5,
+                             rate_floor_scale=0.3, max_nodes=3).run(
+                4, executor=ex).canonical()
+
+        results = _scheduler_results(run)
         _assert_all_backends_equal(results)
-        # the parallel serial backend must also match the legacy loop
-        legacy = Scheduler(n_users=3, strategy="greedy", seed=7,
-                           rate_floor_scale=0.3).run(4).canonical()
-        assert results["serial"] == legacy
+        assert results["in-process"]["rung_counts"].get("none", 0) > 0
 
     def test_seed_changes_report(self):
         with SerialExecutor() as ex:
@@ -274,7 +289,7 @@ class TestSchedulerDeterminism:
                               rate_floor_scale=0.3)
             return sched.run(3, executor=ex, chaos=spec).canonical()
 
-        results = _backend_results(run)
+        results = _scheduler_results(run)
         _assert_all_backends_equal(results)
         # chaos at these rates must actually degrade some frame off the
         # exact rung, otherwise the property is vacuous

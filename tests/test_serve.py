@@ -296,6 +296,20 @@ class TestShard:
         a.pop("solver_time_s"), b.pop("solver_time_s")
         assert a == b
 
+    def test_nan_corrupted_answers_are_rejected_and_open_the_breaker(self):
+        """A NaN-poisoned answer must degrade, never ship as exact, and
+        repeated rejected frames must open the shard's breaker."""
+        shard = self._loaded_shard(breaker_failure_threshold=3)
+        nan = FaultSpec(nan_rate=1.0)
+        for frame in range(3):
+            task = shard.build_task(now_s=0.1, frame=frame, chaos=nan)
+            outcome = solve_shard_task(task)
+            assert outcome["chaos_injections"] > 0
+            assert outcome["rung"] != "exact-bnb" or outcome["primary_failed"]
+            assert outcome["primary_failed"]
+            shard.absorb(outcome, now_s=0.1)
+        assert shard.breaker.state == CircuitBreaker.OPEN
+
     def test_primary_failure_feeds_breaker(self):
         shard = SchedulerShard(0, ShardConfig(breaker_failure_threshold=2),
                                seed=9)

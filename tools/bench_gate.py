@@ -12,6 +12,10 @@ Run from the repo root::
 
     PYTHONPATH=src python tools/bench_gate.py [--threshold 0.25]
 
+``main`` also runs the analyzer, serve, obs, signal and first-order
+gates.  Every gate needs its committed snapshot: a missing snapshot
+fails the run, it is never skipped.
+
 The same check is importable as a ``perf``-marked pytest test
 (``pytest -m perf benchmarks/ tools/``); it is never part of tier-1.
 """
@@ -448,33 +452,26 @@ def main(argv=None) -> int:
         help="allowed fractional first-order fast-path speedup drop before "
              "failing; the absolute 5x floor always applies (default 0.3)")
     opts = parser.parse_args(argv)
-    failures = check_regressions(opts.threshold)
-    if ANALYSIS_SNAPSHOT.is_file():
+    gates = [
+        (SNAPSHOT, lambda: check_regressions(opts.threshold)),
+        (ANALYSIS_SNAPSHOT,
+         lambda: check_analysis_regressions(opts.analysis_threshold)),
+        (SERVE_SNAPSHOT, lambda: check_serve_regressions(opts.serve_threshold)),
+        (OBS_SNAPSHOT, check_obs_regressions),
+        (SIGNAL_SNAPSHOT,
+         lambda: check_signal_streaming_regressions(opts.signal_threshold)),
+        (FIRSTORDER_SNAPSHOT,
+         lambda: check_firstorder_regressions(opts.firstorder_threshold)),
+    ]
+    failures = []
+    for snapshot, check in gates:
         print()
-        failures += check_analysis_regressions(opts.analysis_threshold)
-    else:
-        print("\n(no BENCH_analysis.json snapshot; analyzer gate skipped)")
-    if SERVE_SNAPSHOT.is_file():
-        print()
-        failures += check_serve_regressions(opts.serve_threshold)
-    else:
-        print("\n(no BENCH_serve_soak.json snapshot; serve gate skipped)")
-    if OBS_SNAPSHOT.is_file():
-        print()
-        failures += check_obs_regressions()
-    else:
-        print("\n(no BENCH_obs_overhead.json snapshot; obs gate skipped)")
-    if SIGNAL_SNAPSHOT.is_file():
-        print()
-        failures += check_signal_streaming_regressions(opts.signal_threshold)
-    else:
-        print("\n(no BENCH_signal_streaming.json snapshot; "
-              "signal gate skipped)")
-    if FIRSTORDER_SNAPSHOT.is_file():
-        print()
-        failures += check_firstorder_regressions(opts.firstorder_threshold)
-    else:
-        print("\n(no BENCH_firstorder.json snapshot; firstorder gate skipped)")
+        # a gate without its committed snapshot cannot pass: fail it
+        # visibly rather than skip it
+        if not snapshot.is_file():
+            failures.append(f"missing snapshot {snapshot.relative_to(REPO_ROOT)}")
+            continue
+        failures += check()
     if failures:
         for f in failures:
             print(f"FAIL: {f}", file=sys.stderr)
